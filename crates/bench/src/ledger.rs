@@ -364,26 +364,12 @@ fn run_once(
     });
     // Core construction (stream copy, cache arrays) happens before the
     // clock starts: the metric is the measurement loop itself.
-    let report = match core {
-        CoreSelect::Rocket => {
-            let mut c = Rocket::new(RocketConfig::default(), stream.clone());
-            let start = Instant::now();
-            let r = perf.run(&mut c).map_err(|e| e.to_string())?;
-            (r, start.elapsed())
-        }
-        CoreSelect::Boom(size) => {
-            let mut c = Boom::new(
-                BoomConfig::for_size(size),
-                stream.clone(),
-                workload.program_arc(),
-            );
-            let start = Instant::now();
-            let r = perf.run(&mut c).map_err(|e| e.to_string())?;
-            (r, start.elapsed())
-        }
-        CoreSelect::Soc(_) => unreachable!("soc cells measure through run_soc_once"),
-    };
-    Ok((report.0, report.1.as_secs_f64()))
+    let mut c = core
+        .build_core(workload, stream.clone())
+        .expect("soc cells measure through run_soc_once");
+    let start = Instant::now();
+    let report = perf.run(c.as_mut()).map_err(|e| e.to_string())?;
+    Ok((report, start.elapsed().as_secs_f64()))
 }
 
 /// One timed SoC run: build the system (workload execution and cache

@@ -34,11 +34,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use icicle_boom::{Boom, BoomConfig};
 use icicle_faults::FaultInjector;
 use icicle_obs::{self as obs, MetricsRegistry};
 use icicle_perf::{Perf, PerfOptions, SkipPolicy};
-use icicle_rocket::{Rocket, RocketConfig};
 use icicle_soc::{SocJobs, SocMix};
 use icicle_workloads as workloads;
 
@@ -903,17 +901,11 @@ pub fn simulate_cell_with(
         skip: skip.unwrap_or_else(SkipPolicy::resolve),
         ..PerfOptions::default()
     });
-    let report = match cell.core {
-        CoreSelect::Rocket => {
-            let mut core = Rocket::new(RocketConfig::default(), stream);
-            perf.run(&mut core)
-        }
-        CoreSelect::Boom(size) => {
-            let mut core = Boom::new(BoomConfig::for_size(size), stream, workload.program_arc());
-            perf.run(&mut core)
-        }
-        CoreSelect::Soc(_) => unreachable!("soc cells handled above"),
-    }?;
+    let mut core = cell
+        .core
+        .build_core(&workload, stream)
+        .expect("soc cells handled above");
+    let report = perf.run(core.as_mut())?;
     Ok(CellResult::from_report(cell.clone(), &report))
 }
 

@@ -21,9 +21,13 @@
 
 use std::fmt;
 
-use icicle_boom::BoomSize;
+use icicle_boom::{Boom, BoomConfig, BoomSize};
+use icicle_events::EventCore;
+use icicle_isa::DynStream;
 use icicle_pmu::CounterArch;
+use icicle_rocket::{Rocket, RocketConfig};
 use icicle_soc::SocMix;
+use icicle_workloads::Workload;
 
 /// Which core model a cell runs on.
 ///
@@ -76,6 +80,21 @@ impl CoreSelect {
             .into_iter()
             .find(|s| s.name() == size)
             .map(CoreSelect::Boom)
+    }
+
+    /// Builds the single core this selection names, running `workload`'s
+    /// `stream`; `None` for a multi-core mix (those build through
+    /// [`SocMix::build`]).
+    pub fn build_core(self, workload: &Workload, stream: DynStream) -> Option<Box<dyn EventCore>> {
+        match self {
+            CoreSelect::Rocket => Some(Box::new(Rocket::new(RocketConfig::default(), stream))),
+            CoreSelect::Boom(size) => Some(Box::new(Boom::new(
+                BoomConfig::for_size(size),
+                stream,
+                workload.program_arc(),
+            ))),
+            CoreSelect::Soc(_) => None,
+        }
     }
 }
 

@@ -465,25 +465,15 @@ fn lookup(name: &str) -> Result<Workload> {
 }
 
 fn measure(workload: &Workload, core: CoreSelect, perf: Perf) -> Result<PerfReport> {
-    let stream = workload.execute()?;
-    let report = match core {
-        CoreSelect::Rocket => {
-            let mut c = Rocket::new(RocketConfig::default(), stream);
-            perf.run(&mut c)?
-        }
-        CoreSelect::Boom(size) => {
-            let mut c = Boom::new(BoomConfig::for_size(size), stream, workload.program_arc());
-            perf.run(&mut c)?
-        }
-        CoreSelect::Soc(mix) => {
-            return Err(format!(
-                "`{mix}` is a multi-core mix; run it through `icicle-tma campaign` \
+    let mut c = core
+        .build_core(workload, workload.execute()?)
+        .ok_or_else(|| {
+            format!(
+                "`{core}` is a multi-core mix; run it through `icicle-tma campaign` \
                  (or compose cores with `icicle-tma soc`)"
             )
-            .into())
-        }
-    };
-    Ok(report)
+        })?;
+    Ok(perf.run(c.as_mut())?)
 }
 
 fn list(json: bool) -> Result<()> {
@@ -1169,28 +1159,15 @@ fn profile(name: &str, core: CoreSelect, period: u64, event: Option<EventId>) ->
     let workload = lookup(name)?;
     let profiler = Profiler::new(period);
     let stream = workload.execute()?;
-    let run = |c: &mut dyn icicle::events::EventCore| -> Result<icicle::perf::Profile> {
-        Ok(match event {
-            Some(e) => profiler.profile_event(c, workload.program(), e)?,
-            None => profiler.profile(c, workload.program())?,
-        })
-    };
-    let profile = match core {
-        CoreSelect::Rocket => {
-            let mut c = Rocket::new(RocketConfig::default(), stream);
-            run(&mut c)?
-        }
-        CoreSelect::Boom(size) => {
-            let mut c = Boom::new(BoomConfig::for_size(size), stream, workload.program_arc());
-            run(&mut c)?
-        }
-        CoreSelect::Soc(mix) => {
-            return Err(format!(
-                "`{mix}` is a multi-core mix; the sampling profiler attributes \
-                 PCs on a single core — profile each core's workload separately"
-            )
-            .into())
-        }
+    let mut c = core.build_core(&workload, stream).ok_or_else(|| {
+        format!(
+            "`{core}` is a multi-core mix; the sampling profiler attributes \
+             PCs on a single core — profile each core's workload separately"
+        )
+    })?;
+    let profile = match event {
+        Some(e) => profiler.profile_event(c.as_mut(), workload.program(), e)?,
+        None => profiler.profile(c.as_mut(), workload.program())?,
     };
     if let Some(e) = event {
         println!("sampling on `{e}` (PC skid applies):");

@@ -21,7 +21,8 @@
 //!
 //! The crate is dependency-free and knows nothing about cores or
 //! campaigns; the runner interprets each [`FaultKind`] at its own hook
-//! point.
+//! point. It also owns the workspace's one greedy [`shrink`] loop, which
+//! every fuzzer uses to reduce a failing case to a minimal reproducer.
 
 pub mod net;
 
@@ -306,9 +307,76 @@ impl SplitMix64 {
     }
 }
 
+/// Greedy shrinking, shared by every fuzzer in the workspace: starting
+/// from a failing `case`, move to the first of `candidates(&current)`
+/// that `still_fails`, and repeat from there until no candidate fails —
+/// or until `budget` candidates in total have been tried. Returns the
+/// reproducer and the number of successful steps.
+///
+/// The walk is deterministic: the reproducer depends only on the
+/// candidate order and the failure predicate.
+pub fn shrink<T>(
+    case: T,
+    candidates: impl Fn(&T) -> Vec<T>,
+    mut still_fails: impl FnMut(&T) -> bool,
+    budget: Option<u32>,
+) -> (T, u32) {
+    let mut current = case;
+    let mut steps = 0u32;
+    let mut attempts = 0u32;
+    'outer: loop {
+        for candidate in candidates(&current) {
+            attempts += 1;
+            if budget.is_some_and(|b| attempts > b) {
+                break 'outer;
+            }
+            if still_fails(&candidate) {
+                current = candidate;
+                steps += 1;
+                continue 'outer;
+            }
+        }
+        break;
+    }
+    (current, steps)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Halving and decrementing candidates, in that order.
+    fn smaller(n: &u32) -> Vec<u32> {
+        [n / 2, n.saturating_sub(1)]
+            .into_iter()
+            .filter(|c| c < n)
+            .collect()
+    }
+
+    #[test]
+    fn shrink_walks_to_the_smallest_failing_case() {
+        // Fails for every value of at least 37: 100 → 50 → 49 → … → 37.
+        let (minimal, steps) = shrink(100, smaller, |n| *n >= 37, None);
+        assert_eq!(minimal, 37);
+        assert_eq!(steps, 1 + 13);
+    }
+
+    #[test]
+    fn shrink_stops_at_the_attempt_budget() {
+        let mut tried = 0;
+        let (stopped, steps) = shrink(
+            100,
+            smaller,
+            |n| {
+                tried += 1;
+                *n >= 37
+            },
+            Some(3),
+        );
+        // Attempts: 50 (kept), 25 (rejected), 49 (kept); the fourth is
+        // over budget.
+        assert_eq!((stopped, steps, tried), (49, 2, 3));
+    }
 
     #[test]
     fn generation_is_seed_pure() {

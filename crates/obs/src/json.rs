@@ -194,7 +194,7 @@ impl Json {
             pos: 0,
         };
         p.skip_ws();
-        let value = p.value()?;
+        let value = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(format!("trailing data at byte {}", p.pos));
@@ -226,6 +226,11 @@ fn write_escaped(out: &mut String, s: &str) {
     }
     out.push('"');
 }
+
+/// The deepest container nesting [`Json::parse`] accepts. Documents the
+/// workspace writes are at most 5 deep; the cap keeps a hostile input (a
+/// body of a million `[`) from overflowing the parsing thread's stack.
+const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -265,10 +270,15 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// Parses one value nested inside `depth` open containers.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -278,7 +288,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
@@ -292,7 +302,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             pairs.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -306,7 +316,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -316,7 +326,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -411,6 +421,17 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_capped() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // A megabyte of openers is refused, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(1 << 20)).is_err());
+        assert!(Json::parse(&r#"{"a":"#.repeat(1 << 18)).is_err());
+    }
 
     #[test]
     fn round_trips_nested_documents() {

@@ -29,4 +29,4 @@ mod session;
 pub use error::PerfError;
 pub use profile::{Profile, ProfileEntry, Profiler};
 pub use report::PerfReport;
-pub use session::{MultiplexOptions, Perf, PerfOptions, SkipPolicy};
+pub use session::{CounterSession, MultiplexOptions, Perf, PerfOptions, SkipPolicy};

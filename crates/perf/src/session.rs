@@ -1,6 +1,7 @@
-//! Counter programming and the measurement loop.
+//! Counter programming, the per-core counter session, and the
+//! measurement loop.
 
-use icicle_events::{EventCore, EventCounts, EventId, LaneCounts};
+use icicle_events::{EventCore, EventCounts, EventId, EventVector, LaneCounts};
 use icicle_pmu::{CounterArch, CsrFile, EventSelection, HpmConfig, PmuError};
 use icicle_tma::{TlbCosts, TlbInput, TlbLevel, TmaInput, TmaModel};
 use icicle_trace::{Trace, TraceConfig};
@@ -117,8 +118,8 @@ pub struct PerfOptions {
     pub trace_capacity: Option<usize>,
     /// Events whose per-lane rates should be accumulated (Table V).
     pub lane_events: Vec<EventId>,
-    /// Override the TMA model; `None` derives it from the core (width 1
-    /// → Rocket, otherwise BOOM).
+    /// Override the TMA model; `None` derives it from the core's commit
+    /// width ([`TmaModel::for_commit_width`]).
     pub tma_model: Option<TmaModel>,
     /// Time-multiplex the counters instead of counting every event all
     /// the time.
@@ -150,15 +151,6 @@ impl Default for PerfOptions {
 pub struct Perf {
     options: PerfOptions,
 }
-
-/// Events that need one source per issue lane.
-const ISSUE_WIDE: [EventId; 1] = [EventId::UopsIssued];
-/// Events that need one source per commit lane.
-const COMMIT_WIDE: [EventId; 3] = [
-    EventId::FetchBubbles,
-    EventId::UopsRetired,
-    EventId::DCacheBlocked,
-];
 
 impl Perf {
     /// A harness with default options (add-wires counters).
@@ -195,56 +187,6 @@ impl Perf {
         self
     }
 
-    fn sources_for(event: EventId, core: &dyn EventCore) -> usize {
-        if ISSUE_WIDE.contains(&event) {
-            core.issue_width()
-        } else if COMMIT_WIDE.contains(&event) {
-            core.commit_width()
-        } else {
-            1
-        }
-    }
-
-    /// Performs steps 1–4 of §IV-D for every programmable event against
-    /// a fresh CSR file: one counter per event (cycles and instret are
-    /// the fixed counters), multi-lane events under `arch`, scalar events
-    /// under stock counters. Returns the file and the slot→event map.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PmuError`] if any programming step fails.
-    pub fn program_all_events(
-        core: &dyn EventCore,
-        arch: CounterArch,
-    ) -> Result<(CsrFile, Vec<(usize, EventId)>), PmuError> {
-        let mut csr = CsrFile::new();
-        csr.enable();
-        let mut slot_map: Vec<(usize, EventId)> = Vec::new();
-        for (slot, event) in EventId::ALL
-            .into_iter()
-            .filter(|e| !matches!(e, EventId::Cycles | EventId::InstrRetired))
-            .enumerate()
-        {
-            let sources = Perf::sources_for(event, core);
-            let arch = if sources > 1 {
-                arch
-            } else {
-                CounterArch::Stock
-            };
-            csr.configure(
-                slot,
-                HpmConfig {
-                    selection: EventSelection::single(event),
-                    arch,
-                    sources,
-                },
-            )?;
-            csr.clear_inhibit(slot)?;
-            slot_map.push((slot, event));
-        }
-        Ok((csr, slot_map))
-    }
-
     /// Programs one counter per event (steps 1–4 of §IV-D), runs the
     /// core to completion, reads every counter, and applies TMA.
     ///
@@ -265,45 +207,8 @@ impl Perf {
                 ("traced", self.options.trace.is_some().into()),
             ]
         });
-        let (mut csr, slot_map) = Perf::program_all_events(core, self.options.arch)?;
-
-        // Multiplex bookkeeping: which group each slot belongs to and how
-        // long each group was active.
-        let mux = self.options.multiplex;
-        let num_groups = mux
-            .map(|m| slot_map.len().div_ceil(m.hw_counters.max(1)))
-            .unwrap_or(1)
-            .max(1);
-        let group_of = |slot: usize| match mux {
-            Some(m) => slot / m.hw_counters.max(1),
-            None => 0,
-        };
-        let mut active_cycles = vec![0u64; num_groups];
-        let mut active_group = 0usize;
-        if mux.is_some() && num_groups > 1 {
-            // Start with only group 0 enabled.
-            for (slot, _) in &slot_map {
-                if group_of(*slot) != 0 {
-                    csr.set_inhibit(*slot)?;
-                }
-            }
-        }
-
-        let mut perfect = EventCounts::new();
-        let mut trace = self
-            .options
-            .trace
-            .clone()
-            .map(|cfg| match self.options.trace_capacity {
-                Some(capacity) => Trace::with_capacity(cfg, capacity),
-                None => Trace::new(cfg),
-            });
-        let mut lanes: Vec<LaneCounts> = self
-            .options
-            .lane_events
-            .iter()
-            .map(|e| LaneCounts::new(*e))
-            .collect();
+        let mut session = CounterSession::new(core, &self.options)?;
+        let max_cycles = self.options.max_cycles;
 
         let skipping = self.options.skip == SkipPolicy::On;
         // Probe throttle: `time_until_next_event` walks every pipeline
@@ -325,27 +230,11 @@ impl Perf {
         let start_cycle = core.cycle();
         while !core.is_done() {
             let c = core.cycle();
-            if c >= self.options.max_cycles {
+            if c >= max_cycles {
                 return Err(PerfError::CycleBudget {
                     core: core.name().to_string(),
-                    budget: self.options.max_cycles,
+                    budget: max_cycles,
                 });
-            }
-            if let Some(m) = mux {
-                if num_groups > 1 && c.is_multiple_of(m.quantum.max(1)) && c > 0 {
-                    // Rotate: freeze the active group, release the next.
-                    for (slot, _) in &slot_map {
-                        if group_of(*slot) == active_group {
-                            csr.set_inhibit(*slot)?;
-                        }
-                    }
-                    active_group = (active_group + 1) % num_groups;
-                    for (slot, _) in &slot_map {
-                        if group_of(*slot) == active_group {
-                            csr.clear_inhibit(*slot)?;
-                        }
-                    }
-                }
             }
             if skipping && probe {
                 skip_probes += 1;
@@ -353,27 +242,13 @@ impl Perf {
                     // Cap the span so the budget check and the multiplex
                     // rotation still land on exactly the cycles they
                     // would in stepped mode.
-                    let mut k = n.min(self.options.max_cycles - c);
-                    if let Some(m) = mux {
-                        if num_groups > 1 {
-                            let q = m.quantum.max(1);
-                            k = k.min((c / q + 1) * q - c);
-                        }
-                    }
+                    let k = n.min(max_cycles - c).min(session.span_limit());
                     if k >= 2 {
                         // One real step yields the span's repeated vector;
                         // the rest of the span is settled in closed form.
-                        active_cycles[active_group] += k;
                         let vector = core.step().clone();
                         core.fast_forward(k - 1);
-                        csr.tick_many(&vector, k);
-                        perfect.observe_many(&vector, k);
-                        if let Some(t) = &mut trace {
-                            t.record_many(&vector, k);
-                        }
-                        for l in &mut lanes {
-                            l.observe_many(&vector, k);
-                        }
+                        session.observe_run(&vector, k);
                         skip_spans += 1;
                         skip_cycles += k;
                         skip_buckets[icicle_obs::skip_span_bucket(k)] += 1;
@@ -382,17 +257,9 @@ impl Perf {
                 }
                 skip_probe_misses += 1;
             }
-            active_cycles[active_group] += 1;
             let vector = core.step();
             probe = !skipping || vector.count(EventId::InstrRetired) == 0;
-            csr.tick(vector);
-            perfect.observe(vector);
-            if let Some(t) = &mut trace {
-                t.record(vector);
-            }
-            for l in &mut lanes {
-                l.observe(vector);
-            }
+            session.observe(vector);
         }
 
         // Global simulator tallies, settled once per session rather than
@@ -417,34 +284,168 @@ impl Perf {
             &skip_buckets,
         );
 
+        Ok(session.finish()?)
+    }
+}
+
+/// The counter state of one measured core: its CSR file plus the
+/// harness-side views (perfect counts, lanes, an optional trace) that
+/// every cycle's event vector feeds.
+///
+/// [`Perf::run`] and both SoC engines drive a session the same way:
+/// the driver owns the cycle budget and the scheduling, and hands each
+/// stepped cycle (or skipped span) to the core's session, so counters
+/// are ticked, read back, and turned into TMA slots along one path.
+#[derive(Clone, Debug)]
+pub struct CounterSession {
+    core_name: String,
+    model: TmaModel,
+    csr: CsrFile,
+    /// The event each programmable counter counts, by counter index.
+    events: Vec<EventId>,
+    perfect: EventCounts,
+    lanes: Vec<LaneCounts>,
+    trace: Option<Trace>,
+    mux: Option<Multiplexer>,
+}
+
+impl CounterSession {
+    /// Performs steps 1–4 of §IV-D for every programmable event of
+    /// `core` against a fresh CSR file — one counter per event (cycles
+    /// and instret are the fixed counters), multi-lane events under
+    /// `options.arch`, scalar events under stock counters — and sets up
+    /// the trace, lanes, multiplexing, and TMA model `options` ask for.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`PmuError`] if any programming step fails.
+    pub fn new(core: &dyn EventCore, options: &PerfOptions) -> Result<CounterSession, PmuError> {
+        let mut csr = CsrFile::new();
+        csr.enable();
+        let events: Vec<EventId> = EventId::ALL
+            .into_iter()
+            .filter(|e| !matches!(e, EventId::Cycles | EventId::InstrRetired))
+            .collect();
+        for (slot, &event) in events.iter().enumerate() {
+            // Multi-lane events take one source per issue or commit lane.
+            let sources = match event {
+                EventId::UopsIssued => core.issue_width(),
+                EventId::FetchBubbles | EventId::UopsRetired | EventId::DCacheBlocked => {
+                    core.commit_width()
+                }
+                _ => 1,
+            };
+            let arch = if sources > 1 {
+                options.arch
+            } else {
+                CounterArch::Stock
+            };
+            csr.configure(
+                slot,
+                HpmConfig {
+                    selection: EventSelection::single(event),
+                    arch,
+                    sources,
+                },
+            )?;
+            csr.clear_inhibit(slot)?;
+        }
+        let mux = match options.multiplex {
+            Some(m) => Multiplexer::start(m, &mut csr, events.len(), core.cycle())?,
+            None => None,
+        };
+        Ok(CounterSession {
+            core_name: core.name().to_string(),
+            model: options
+                .tma_model
+                .unwrap_or_else(|| TmaModel::for_commit_width(core.commit_width())),
+            csr,
+            events,
+            perfect: EventCounts::new(),
+            lanes: options
+                .lane_events
+                .iter()
+                .map(|e| LaneCounts::new(*e))
+                .collect(),
+            trace: options
+                .trace
+                .clone()
+                .map(|cfg| match options.trace_capacity {
+                    Some(capacity) => Trace::with_capacity(cfg, capacity),
+                    None => Trace::new(cfg),
+                }),
+            mux,
+        })
+    }
+
+    /// The longest run [`observe_run`](CounterSession::observe_run) may
+    /// settle from the current cycle without crossing a multiplex
+    /// rotation.
+    fn span_limit(&self) -> u64 {
+        self.mux.as_ref().map_or(u64::MAX, |m| {
+            (m.cycle / m.quantum + 1) * m.quantum - m.cycle
+        })
+    }
+
+    /// Counts one cycle's event vector.
+    #[inline]
+    pub fn observe(&mut self, vector: &EventVector) {
+        if let Some(m) = &mut self.mux {
+            m.advance(&mut self.csr, 1);
+        }
+        self.csr.tick(vector);
+        self.perfect.observe(vector);
+        if let Some(t) = &mut self.trace {
+            t.record(vector);
+        }
+        for l in &mut self.lanes {
+            l.observe(vector);
+        }
+    }
+
+    /// Counts `cycles` consecutive cycles that all raised `vector` in
+    /// closed form — bit-identical to `cycles` calls of
+    /// [`observe`](CounterSession::observe).
+    #[inline]
+    pub fn observe_run(&mut self, vector: &EventVector, cycles: u64) {
+        if let Some(m) = &mut self.mux {
+            m.advance(&mut self.csr, cycles);
+        }
+        self.csr.tick_many(vector, cycles);
+        self.perfect.observe_many(vector, cycles);
+        if let Some(t) = &mut self.trace {
+            t.record_many(vector, cycles);
+        }
+        for l in &mut self.lanes {
+            l.observe_many(vector, cycles);
+        }
+    }
+
+    /// Reads every counter back and applies TMA and the TLB drill-down.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`PmuError`] if a counter cannot be read.
+    pub fn finish(self) -> Result<PerfReport, PmuError> {
         // Read the counters back into an event-count view (the software
         // perspective: distributed counters include their 2^N
         // post-processing loss here, exactly as on hardware; multiplexed
         // counters are linearly extrapolated like Linux perf).
-        let total_cycles = csr.mcycle();
+        let cycles = self.csr.mcycle();
+        let instret = self.csr.minstret();
         let mut hw = EventCounts::new();
-        hw.set(EventId::Cycles, total_cycles);
-        hw.set(EventId::InstrRetired, csr.minstret());
-        for (slot, event) in &slot_map {
-            let raw = csr.read(*slot)?;
-            let scaled = if mux.is_some() && num_groups > 1 {
-                let active = active_cycles[group_of(*slot)].max(1);
-                ((raw as u128 * total_cycles as u128) / active as u128) as u64
-            } else {
-                raw
-            };
+        hw.set(EventId::Cycles, cycles);
+        hw.set(EventId::InstrRetired, instret);
+        for (slot, event) in self.events.iter().enumerate() {
+            let raw = self.csr.read(slot)?;
+            let scaled = self
+                .mux
+                .as_ref()
+                .map_or(raw, |m| m.extrapolate(slot, raw, cycles));
             hw.set(*event, scaled);
         }
 
-        let model = self
-            .options
-            .tma_model
-            .unwrap_or(if core.commit_width() == 1 {
-                TmaModel::rocket()
-            } else {
-                TmaModel::boom(core.commit_width())
-            });
-        let tma = model.analyze(&TmaInput::from_counts(&hw));
+        let tma = self.model.analyze(&TmaInput::from_counts(&hw));
         let tlb = TlbLevel::analyze(
             &tma,
             &TlbInput {
@@ -453,21 +454,90 @@ impl Perf {
                 l2_tlb_misses: hw.get(EventId::L2TlbMiss),
             },
             &TlbCosts::default(),
-            total_cycles,
-            model.commit_width,
+            cycles,
+            self.model.commit_width,
         );
 
         Ok(PerfReport {
-            core_name: core.name().to_string(),
-            cycles: csr.mcycle(),
-            instret: csr.minstret(),
+            core_name: self.core_name,
+            cycles,
+            instret,
             hw_counts: hw,
-            perfect_counts: perfect,
+            perfect_counts: self.perfect,
             tma,
             tlb,
-            trace,
-            lanes,
+            trace: self.trace,
+            lanes: self.lanes,
         })
+    }
+}
+
+/// Multiplex rotation state: counters rotate in groups of `group_size`
+/// every `quantum` cycles, and each group's active time is kept for the
+/// read-back extrapolation.
+#[derive(Clone, Debug)]
+struct Multiplexer {
+    counters: usize,
+    group_size: usize,
+    quantum: u64,
+    /// The core cycle of the next observed cycle.
+    cycle: u64,
+    active_group: usize,
+    active_cycles: Vec<u64>,
+}
+
+impl Multiplexer {
+    /// Leaves only group 0 counting; `None` when every counter fits in
+    /// one group and nothing needs to rotate.
+    fn start(
+        options: MultiplexOptions,
+        csr: &mut CsrFile,
+        counters: usize,
+        cycle: u64,
+    ) -> Result<Option<Multiplexer>, PmuError> {
+        let group_size = options.hw_counters.max(1);
+        let groups = counters.div_ceil(group_size);
+        if groups <= 1 {
+            return Ok(None);
+        }
+        for slot in group_size..counters {
+            csr.set_inhibit(slot)?;
+        }
+        Ok(Some(Multiplexer {
+            counters,
+            group_size,
+            quantum: options.quantum.max(1),
+            cycle,
+            active_group: 0,
+            active_cycles: vec![0; groups],
+        }))
+    }
+
+    /// Accounts `cycles` counted cycles to the active group, first
+    /// rotating (freeze the active group, release the next) when they
+    /// start on a quantum boundary.
+    fn advance(&mut self, csr: &mut CsrFile, cycles: u64) {
+        if self.cycle > 0 && self.cycle.is_multiple_of(self.quantum) {
+            let next = (self.active_group + 1) % self.active_cycles.len();
+            for slot in 0..self.counters {
+                match slot / self.group_size {
+                    g if g == self.active_group => csr.set_inhibit(slot),
+                    g if g == next => csr.clear_inhibit(slot),
+                    _ => Ok(()),
+                }
+                .expect("multiplexed counters are programmed");
+            }
+            self.active_group = next;
+        }
+        self.active_cycles[self.active_group] += cycles;
+        self.cycle += cycles;
+    }
+
+    /// Scales a counter's raw count by its group's `total / active`
+    /// cycles.
+    fn extrapolate(&self, slot: usize, raw: u64, total_cycles: u64) -> u64 {
+        let active = self.active_cycles[slot / self.group_size].max(1);
+        ((raw as u128 * total_cycles as u128) / active as u128) as u64
     }
 }
 

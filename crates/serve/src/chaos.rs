@@ -391,30 +391,28 @@ pub fn shrink_net_plan(
     weaken: Weaken,
     data_dir: &Path,
 ) -> (NetFaultPlan, Vec<String>) {
-    let mut current = plan.clone();
-    let mut violations = check_net_plan(&current, weaken, data_dir);
+    let mut violations = check_net_plan(plan, weaken, data_dir);
     if violations.is_empty() {
-        return (current, violations);
+        return (plan.clone(), violations);
     }
-    loop {
-        let mut shrunk = false;
-        for index in 0..current.faults.len() {
-            if current.faults.len() == 1 {
-                break;
-            }
-            let candidate = current.without(index);
-            let caused = check_net_plan(&candidate, weaken, data_dir);
-            if !caused.is_empty() {
-                current = candidate;
+    // A plan never shrinks below one fault.
+    let (minimal, _) = icicle_faults::shrink(
+        plan.clone(),
+        |p| match p.faults.len() {
+            0 | 1 => Vec::new(),
+            n => (0..n).map(|i| p.without(i)).collect(),
+        },
+        |candidate| {
+            let caused = check_net_plan(candidate, weaken, data_dir);
+            let fails = !caused.is_empty();
+            if fails {
                 violations = caused;
-                shrunk = true;
-                break;
             }
-        }
-        if !shrunk {
-            return (current, violations);
-        }
-    }
+            fails
+        },
+        None,
+    );
+    (minimal, violations)
 }
 
 /// Fuzzes `options.cases` derived fault schedules against the contract,

@@ -51,12 +51,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use icicle_boom::{Boom, BoomConfig};
-use icicle_events::{EventCore, EventCounts, EventId};
+use icicle_events::EventCore;
 use icicle_mem::{CacheConfig, L2Arbiter, L2Linked, L2Port, L2Waiter, MemoryHierarchy, SharedL2};
-use icicle_perf::{Perf, PerfReport};
-use icicle_pmu::{CounterArch, CsrFile, PmuError};
+use icicle_perf::{CounterSession, PerfOptions, PerfReport};
+use icicle_pmu::{CounterArch, PmuError};
 use icicle_rocket::{Rocket, RocketConfig};
-use icicle_tma::{TlbCosts, TlbInput, TlbLevel, TmaInput, TmaModel};
 use icicle_workloads::Workload;
 
 /// Errors from SoC construction or simulation.
@@ -286,10 +285,8 @@ impl fmt::Display for SocMix {
 struct SocCore {
     core: Box<dyn SocEventCore>,
     workload_name: String,
-    counts: EventCounts,
-    csr: CsrFile,
-    slot_map: Vec<(usize, icicle_events::EventId)>,
-    finished_at: Option<u64>,
+    session: CounterSession,
+    finished: bool,
 }
 
 /// Per-core results of an SoC run.
@@ -348,25 +345,12 @@ impl SocBuilder {
     ///
     /// Propagates architectural execution and counter-programming
     /// failures.
-    pub fn rocket(
-        mut self,
-        config: RocketConfig,
-        workload: &Workload,
-    ) -> Result<SocBuilder, SocError> {
+    pub fn rocket(self, config: RocketConfig, workload: &Workload) -> Result<SocBuilder, SocError> {
         let stream = workload.execute()?;
         let mem = MemoryHierarchy::with_shared_l2(config.memory, self.shared_l2.clone())
             .with_address_salt(self.next_salt());
         let core = Rocket::with_memory(config, stream, mem);
-        let (csr, slot_map) = Perf::program_all_events(&core, CounterArch::AddWires)?;
-        self.cores.push(SocCore {
-            core: Box::new(core),
-            workload_name: workload.name().to_string(),
-            counts: EventCounts::new(),
-            csr,
-            slot_map,
-            finished_at: None,
-        });
-        Ok(self)
+        self.push(Box::new(core), workload)
     }
 
     /// Adds a BOOM core running `workload`.
@@ -375,19 +359,31 @@ impl SocBuilder {
     ///
     /// Propagates architectural execution and counter-programming
     /// failures.
-    pub fn boom(mut self, config: BoomConfig, workload: &Workload) -> Result<SocBuilder, SocError> {
+    pub fn boom(self, config: BoomConfig, workload: &Workload) -> Result<SocBuilder, SocError> {
         let stream = workload.execute()?;
         let mem = MemoryHierarchy::with_shared_l2(config.memory, self.shared_l2.clone())
             .with_address_salt(self.next_salt());
         let core = Boom::with_memory(config, stream, workload.program_arc(), mem);
-        let (csr, slot_map) = Perf::program_all_events(&core, CounterArch::AddWires)?;
+        self.push(Box::new(core), workload)
+    }
+
+    /// Adds `core` with its own counter session: add-wires counters,
+    /// no trace, no lanes, no multiplexing.
+    fn push(
+        mut self,
+        core: Box<dyn SocEventCore>,
+        workload: &Workload,
+    ) -> Result<SocBuilder, SocError> {
+        let options = PerfOptions {
+            arch: CounterArch::AddWires,
+            ..PerfOptions::default()
+        };
+        let session = CounterSession::new(&*core, &options)?;
         self.cores.push(SocCore {
-            core: Box::new(core),
+            core,
             workload_name: workload.name().to_string(),
-            counts: EventCounts::new(),
-            csr,
-            slot_map,
-            finished_at: None,
+            session,
+            finished: false,
         });
         Ok(self)
     }
@@ -466,7 +462,7 @@ impl L2Waiter for StepGate {
 /// cycle. Stops at workload completion or the cycle budget.
 fn drive_core(c: &mut SocCore, port: &L2Port, gate: &StepGate, max_cycles: u64) {
     let mut steps = 0u64;
-    while c.finished_at.is_none() {
+    while !c.finished {
         if steps >= max_cycles {
             break;
         }
@@ -479,13 +475,9 @@ fn drive_core(c: &mut SocCore, port: &L2Port, gate: &StepGate, max_cycles: u64) 
         let quiet = c.core.time_until_next_event().unwrap_or(0);
         port.advance(cycle.saturating_add(quiet));
         let permit = gate.acquire();
-        let v = c.core.step();
-        c.csr.tick(v);
-        c.counts.observe(v);
+        c.session.observe(c.core.step());
         drop(permit);
-        if c.core.is_done() {
-            c.finished_at = Some(c.core.cycle());
-        }
+        c.finished = c.core.is_done();
         steps += 1;
     }
 }
@@ -511,22 +503,18 @@ impl Soc {
     /// Steps every unfinished core one cycle, in core order.
     pub fn step(&mut self) {
         for c in &mut self.cores {
-            if c.finished_at.is_some() {
+            if c.finished {
                 continue;
             }
-            let v = c.core.step();
-            c.csr.tick(v);
-            c.counts.observe(v);
-            if c.core.is_done() {
-                c.finished_at = Some(c.core.cycle());
-            }
+            c.session.observe(c.core.step());
+            c.finished = c.core.is_done();
         }
         self.cycle += 1;
     }
 
     /// Whether every core has retired its workload.
     pub fn is_done(&self) -> bool {
-        self.cores.iter().all(|c| c.finished_at.is_some())
+        self.cores.iter().all(|c| c.finished)
     }
 
     /// Runs until every core finishes — the single-threaded lockstep
@@ -634,7 +622,7 @@ impl Soc {
             .max()
             .unwrap_or(self.cycle)
             .max(self.cycle);
-        if self.cores.iter().any(|c| c.finished_at.is_none()) {
+        if !self.is_done() {
             return Err(self.budget_error(max_cycles));
         }
         self.reports()
@@ -668,7 +656,7 @@ impl Soc {
             cores: self
                 .cores
                 .iter()
-                .filter(|c| c.finished_at.is_none())
+                .filter(|c| !c.finished)
                 .map(|c| c.workload_name.clone())
                 .collect(),
             budget,
@@ -678,56 +666,24 @@ impl Soc {
     fn reports(&self) -> Result<Vec<SocReport>, SocError> {
         let mut reports = Vec::with_capacity(self.cores.len());
         for (index, c) in self.cores.iter().enumerate() {
-            let cycles = c.finished_at.expect("all finished");
-            // Read this core's own CSR file back.
-            let mut hw = EventCounts::new();
-            hw.set(EventId::Cycles, c.csr.mcycle().min(cycles));
-            hw.set(EventId::InstrRetired, c.csr.minstret());
-            for (slot, event) in &c.slot_map {
-                hw.set(*event, c.csr.read(*slot)?);
-            }
-            let model = if c.core.commit_width() == 1 {
-                TmaModel::rocket()
-            } else {
-                TmaModel::boom(c.core.commit_width())
-            };
-            let tma = model.analyze(&TmaInput::from_counts(&hw));
-            let tlb = TlbLevel::analyze(
-                &tma,
-                &TlbInput {
-                    itlb_misses: hw.get(EventId::ITlbMiss),
-                    dtlb_misses: hw.get(EventId::DTlbMiss),
-                    l2_tlb_misses: hw.get(EventId::L2TlbMiss),
-                },
-                &TlbCosts::default(),
-                cycles,
-                model.commit_width,
-            );
+            // A finished SoC may be asked for its reports again (`run`
+            // returns them straight away), so finish a copy.
+            let report = c.session.clone().finish()?;
             // Both engines call `reports` identically on the calling
             // thread with deterministic values, so the Info-level tree
             // stays byte-identical across lockstep and parallel runs.
             icicle_obs::event_with(icicle_obs::Level::Info, "soc.core", || {
                 vec![
                     ("core", index.into()),
-                    ("name", c.core.name().into()),
+                    ("name", report.core_name.clone().into()),
                     ("workload", c.workload_name.clone().into()),
-                    ("cycles", cycles.into()),
-                    ("instret", hw.get(EventId::InstrRetired).into()),
+                    ("cycles", report.cycles.into()),
+                    ("instret", report.instret.into()),
                 ]
             });
             reports.push(SocReport {
                 workload: c.workload_name.clone(),
-                report: PerfReport {
-                    core_name: c.core.name().to_string(),
-                    cycles,
-                    instret: hw.get(EventId::InstrRetired),
-                    hw_counts: hw,
-                    perfect_counts: c.counts.clone(),
-                    tma,
-                    tlb,
-                    trace: None,
-                    lanes: Vec::new(),
-                },
+                report,
             });
         }
         Ok(reports)
@@ -737,6 +693,7 @@ impl Soc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icicle_events::EventId;
     use icicle_workloads::{micro, spec};
 
     #[test]

@@ -85,6 +85,16 @@ impl TmaModel {
         }
     }
 
+    /// The model for a core of commit width `width`: Rocket's for a
+    /// scalar core, BOOM's otherwise (panics on width 0).
+    pub fn for_commit_width(width: usize) -> TmaModel {
+        if width == 1 {
+            TmaModel::rocket()
+        } else {
+            TmaModel::boom(width)
+        }
+    }
+
     /// Evaluates Table II against `input`.
     ///
     /// The result's top level always sums to exactly 1: the Backend class

@@ -7,13 +7,11 @@
 //! [`SlotTemporalTma`]. Their per-class difference must stay within the
 //! [`DivergenceBound`] derived from the same trace.
 
-use icicle_boom::{Boom, BoomConfig};
 use icicle_campaign::json::Json;
-use icicle_campaign::{data_seed, CellSpec, CoreSelect};
+use icicle_campaign::{data_seed, CellSpec};
 use icicle_events::{EventCore, EventId};
 use icicle_perf::{Perf, PerfOptions, SkipPolicy};
 use icicle_pmu::CounterArch;
-use icicle_rocket::{Rocket, RocketConfig};
 use icicle_tma::TopLevel;
 use icicle_trace::{SlotReport, SlotTemporalTma, TraceChannel, TraceConfig};
 use icicle_workloads::{self as workloads, Workload};
@@ -200,20 +198,14 @@ pub fn verify_workload_with(
     let stream = workload
         .execute()
         .map_err(|e| format!("architectural execution failed: {e}"))?;
-    match cell.core {
-        CoreSelect::Rocket => {
-            let mut core = Rocket::new(RocketConfig::default(), stream);
-            verify_run(&mut core, cell, flat_bound, skip)
-        }
-        CoreSelect::Boom(size) => {
-            let mut core = Boom::new(BoomConfig::for_size(size), stream, workload.program_arc());
-            verify_run(&mut core, cell, flat_bound, skip)
-        }
-        CoreSelect::Soc(mix) => Err(format!(
-            "multi-core cells ({mix}) verify through the PDES engine differential \
-             (`verify --pdes`), not the per-core counter-vs-trace differential"
-        )),
-    }
+    let mut core = cell.core.build_core(workload, stream).ok_or_else(|| {
+        format!(
+            "multi-core cells ({}) verify through the PDES engine differential \
+             (`verify --pdes`), not the per-core counter-vs-trace differential",
+            cell.core
+        )
+    })?;
+    verify_run(core.as_mut(), cell, flat_bound, skip)
 }
 
 fn verify_run(
@@ -247,17 +239,11 @@ fn verify_run(
         .ok_or_else(|| "trace is missing slot-TMA channels".to_string())?;
     let temporal = slot_tma.analyze(trace);
 
-    // The same model selection Perf::run applies.
-    let model = if width == 1 {
-        icicle_tma::TmaModel::rocket()
-    } else {
-        icicle_tma::TmaModel::boom(width)
-    };
     let derivation = BoundDerivation::measure(
         trace,
         width,
         &report.hw_counts,
-        model,
+        icicle_tma::TmaModel::for_commit_width(width),
         cell.arch,
         issue_width,
     )
@@ -324,6 +310,7 @@ fn readings(
 mod tests {
     use super::*;
     use icicle_boom::BoomSize;
+    use icicle_campaign::CoreSelect;
 
     fn cell(workload: &str, core: CoreSelect, arch: CounterArch) -> CellSpec {
         CellSpec {

@@ -256,20 +256,12 @@ pub fn shrink_plan<F>(plan: &FaultPlan, violates: F) -> (FaultPlan, u32)
 where
     F: Fn(&FaultPlan) -> bool,
 {
-    let mut current = plan.clone();
-    let mut steps = 0u32;
-    'outer: loop {
-        for index in 0..current.faults.len() {
-            let candidate = current.without(index);
-            if violates(&candidate) {
-                current = candidate;
-                steps += 1;
-                continue 'outer;
-            }
-        }
-        break;
-    }
-    (current, steps)
+    icicle_faults::shrink(
+        plan.clone(),
+        |p| (0..p.faults.len()).map(|i| p.without(i)).collect(),
+        violates,
+        None,
+    )
 }
 
 /// Runs `options.cases` seed-pure fault plans against the fixed fuzz

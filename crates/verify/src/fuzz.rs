@@ -382,28 +382,15 @@ fn check(case: &FuzzCase, options: &FuzzOptions) -> Result<CellVerdict, String> 
 }
 
 /// Greedily shrinks a diverging case: keeps any candidate that still
-/// diverges, until no candidate does (or the attempt budget runs out).
+/// diverges, until no candidate does (or 200 attempts have been spent).
 /// Returns the reproducer and the number of successful shrink steps.
 pub fn shrink(case: &FuzzCase, options: &FuzzOptions) -> (FuzzCase, u32) {
-    let mut current = case.clone();
-    let mut steps = 0u32;
-    let mut attempts = 0u32;
-    'outer: loop {
-        for candidate in current.candidates() {
-            attempts += 1;
-            if attempts > 200 {
-                break 'outer;
-            }
-            let still_diverges = matches!(check(&candidate, options), Ok(v) if !v.passed());
-            if still_diverges {
-                current = candidate;
-                steps += 1;
-                continue 'outer;
-            }
-        }
-        break;
-    }
-    (current, steps)
+    icicle_faults::shrink(
+        case.clone(),
+        FuzzCase::candidates,
+        |c| matches!(check(c, options), Ok(v) if !v.passed()),
+        Some(200),
+    )
 }
 
 /// Runs `options.cases` seeded cases through the differential, shrinking

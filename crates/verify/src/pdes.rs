@@ -239,27 +239,15 @@ pub fn check_case(case: &PdesCase, jobs: &[usize]) -> Result<Option<PdesMismatch
 }
 
 /// Greedily shrinks a diverging scenario: keeps any candidate that
-/// still diverges, until no candidate does (or the attempt budget runs
-/// out). Returns the reproducer and the successful shrink steps.
+/// still diverges, until no candidate does (or 64 attempts have been
+/// spent). Returns the reproducer and the successful shrink steps.
 pub fn shrink_case(case: &PdesCase, jobs: &[usize]) -> (PdesCase, u32) {
-    let mut current = case.clone();
-    let mut steps = 0u32;
-    let mut attempts = 0u32;
-    'outer: loop {
-        for candidate in current.candidates() {
-            attempts += 1;
-            if attempts > 64 {
-                break 'outer;
-            }
-            if matches!(check_case(&candidate, jobs), Ok(Some(_))) {
-                current = candidate;
-                steps += 1;
-                continue 'outer;
-            }
-        }
-        break;
-    }
-    (current, steps)
+    icicle_faults::shrink(
+        case.clone(),
+        PdesCase::candidates,
+        |c| matches!(check_case(c, jobs), Ok(Some(_))),
+        Some(64),
+    )
 }
 
 /// Knobs of one PDES differential run.

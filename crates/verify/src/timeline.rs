@@ -8,13 +8,11 @@
 //! slices reproduce the verify report's classification exactly, and the
 //! export is golden-snapshot safe.
 
-use icicle_boom::{Boom, BoomConfig};
-use icicle_campaign::{data_seed, CellSpec, CoreSelect};
+use icicle_campaign::{data_seed, CellSpec};
 use icicle_events::{EventCore, EventId};
 use icicle_obs::{cycle_timeline, trace_events_document, Json};
 use icicle_perf::{Perf, PerfOptions, SkipPolicy};
 use icicle_pmu::CounterArch;
-use icicle_rocket::{Rocket, RocketConfig};
 use icicle_trace::{SlotTemporalTma, TraceChannel, TraceConfig};
 use icicle_workloads::{self as workloads};
 
@@ -55,19 +53,13 @@ pub fn export_cell_timeline_with(
     let stream = workload
         .execute()
         .map_err(|e| format!("architectural execution failed: {e}"))?;
-    match cell.core {
-        CoreSelect::Rocket => {
-            let mut core = Rocket::new(RocketConfig::default(), stream);
-            export_run(&mut core, cell, window, skip)
-        }
-        CoreSelect::Boom(size) => {
-            let mut core = Boom::new(BoomConfig::for_size(size), stream, workload.program_arc());
-            export_run(&mut core, cell, window, skip)
-        }
-        CoreSelect::Soc(mix) => Err(format!(
-            "multi-core cells ({mix}) have no single-core timeline; export a per-core cell"
-        )),
-    }
+    let mut core = cell.core.build_core(&workload, stream).ok_or_else(|| {
+        format!(
+            "multi-core cells ({}) have no single-core timeline; export a per-core cell",
+            cell.core
+        )
+    })?;
+    export_run(core.as_mut(), cell, window, skip)
 }
 
 fn export_run(
@@ -103,6 +95,7 @@ fn export_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icicle_campaign::CoreSelect;
     use icicle_trace::SlotClass;
 
     fn cell(workload: &str, core: CoreSelect) -> CellSpec {

@@ -1,9 +1,10 @@
 //! Hostile-input hardening of the HTTP layer, over real sockets: a
 //! live [`Server`] fed raw bytes a well-behaved client would never
 //! send. Each abuse must come back as the *right* typed status — 431
-//! oversized head, 413 oversized declared body, 400 truncated body or
-//! garbage request line, 408 silent peer — and, the part that matters,
-//! the worker must survive to serve a clean request immediately after.
+//! oversized head, 413 oversized declared body, 400 truncated body,
+//! garbage request line or over-nested JSON body, 408 silent peer —
+//! and, the part that matters, the worker must survive to serve a clean
+//! request immediately after.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -116,6 +117,22 @@ fn truncated_body_is_400() {
         f.addr,
         b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\nten bytes!",
     );
+    assert!(status.contains("400"), "got: {status}");
+    assert_still_serving(f.addr);
+}
+
+#[test]
+fn deeply_nested_body_is_400() {
+    let f = fixture();
+    // A megabyte of `[`: the JSON parser must refuse the nesting with
+    // an error (400), not recurse until the connection thread's stack
+    // overflows and aborts the server.
+    let body = "[".repeat(1 << 20);
+    let request = format!(
+        "POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let status = send_raw(f.addr, request.as_bytes());
     assert!(status.contains("400"), "got: {status}");
     assert_still_serving(f.addr);
 }

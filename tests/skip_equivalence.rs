@@ -202,8 +202,9 @@ fn campaign_reports_are_byte_identical_without_cache() {
     );
 }
 
-/// Cross-mode greedy shrink: like `icicle_verify::shrink`, but the
-/// property preserved is "skip-on and skip-off disagree" rather than
+/// Cross-mode greedy shrink: the shared greedy shrinker with the same
+/// 200-attempt budget as `icicle_verify::shrink`, but the property
+/// preserved is "skip-on and skip-off disagree" rather than
 /// "the differential bound fails". Built from the same public
 /// [`FuzzCase`] machinery (drop ops, halve iterations, shrink the data
 /// table) so a reproducer is as small as the fuzzer's own.
@@ -229,24 +230,12 @@ fn shrink_cross_mode(case: &FuzzCase, options: &FuzzOptions) -> (FuzzCase, u32) 
         }
         out
     }
-    let mut current = case.clone();
-    let mut steps = 0u32;
-    let mut attempts = 0u32;
-    'outer: loop {
-        for candidate in candidates(&current) {
-            attempts += 1;
-            if attempts > 200 {
-                break 'outer;
-            }
-            if modes_disagree(&candidate, options) {
-                current = candidate;
-                steps += 1;
-                continue 'outer;
-            }
-        }
-        break;
-    }
-    (current, steps)
+    icicle::faults::shrink(
+        case.clone(),
+        candidates,
+        |c| modes_disagree(c, options),
+        Some(200),
+    )
 }
 
 /// Runs `case` through the differential in both modes and reports
