@@ -245,10 +245,11 @@ impl Perf {
                     let k = n.min(max_cycles - c).min(session.span_limit());
                     if k >= 2 {
                         // One real step yields the span's repeated vector;
-                        // the rest of the span is settled in closed form.
-                        let vector = core.step().clone();
+                        // the rest of the span joins the session's run of
+                        // it without being stepped.
+                        session.observe(core.step());
                         core.fast_forward(k - 1);
-                        session.observe_run(&vector, k);
+                        session.repeat_last(k - 1);
                         skip_spans += 1;
                         skip_cycles += k;
                         skip_buckets[icicle_obs::skip_span_bucket(k)] += 1;
@@ -296,6 +297,12 @@ impl Perf {
 /// the driver owns the cycle budget and the scheduling, and hands each
 /// stepped cycle (or skipped span) to the core's session, so counters
 /// are ticked, read back, and turned into TMA slots along one path.
+///
+/// A session counts in runs: consecutive cycles that raise the same
+/// vector only lengthen a pending run, and the run is settled in closed
+/// form when the vector changes, before a multiplex rotation, and in
+/// [`finish`](CounterSession::finish). The result is bit-identical to
+/// ticking every cycle; the cost scales with the number of runs.
 #[derive(Clone, Debug)]
 pub struct CounterSession {
     core_name: String,
@@ -307,6 +314,10 @@ pub struct CounterSession {
     lanes: Vec<LaneCounts>,
     trace: Option<Trace>,
     mux: Option<Multiplexer>,
+    /// The pending run: `run_cycles` consecutive cycles, not yet settled
+    /// into the state above, that all raised `run_vector`.
+    run_vector: EventVector,
+    run_cycles: u64,
 }
 
 impl CounterSession {
@@ -375,39 +386,51 @@ impl CounterSession {
                     None => Trace::new(cfg),
                 }),
             mux,
+            run_vector: EventVector::new(),
+            run_cycles: 0,
         })
     }
 
-    /// The longest run [`observe_run`](CounterSession::observe_run) may
-    /// settle from the current cycle without crossing a multiplex
-    /// rotation.
+    /// How many cycles, starting with the next observed one, fit before
+    /// the next multiplex rotation.
     fn span_limit(&self) -> u64 {
         self.mux.as_ref().map_or(u64::MAX, |m| {
-            (m.cycle / m.quantum + 1) * m.quantum - m.cycle
+            let cycle = m.cycle + self.run_cycles;
+            (cycle / m.quantum + 1) * m.quantum - cycle
         })
     }
 
     /// Counts one cycle's event vector.
     #[inline]
     pub fn observe(&mut self, vector: &EventVector) {
-        if let Some(m) = &mut self.mux {
-            m.advance(&mut self.csr, 1);
+        // A rotation takes effect at the start of a quantum, so a run
+        // may not carry on into one.
+        let rotates = self
+            .mux
+            .as_ref()
+            .is_some_and(|m| (m.cycle + self.run_cycles).is_multiple_of(m.quantum));
+        if !rotates && *vector == self.run_vector {
+            self.run_cycles += 1;
+            return;
         }
-        self.csr.tick(vector);
-        self.perfect.observe(vector);
-        if let Some(t) = &mut self.trace {
-            t.record(vector);
-        }
-        for l in &mut self.lanes {
-            l.observe(vector);
-        }
+        self.settle();
+        self.run_vector.clone_from(vector);
+        self.run_cycles = 1;
     }
 
-    /// Counts `cycles` consecutive cycles that all raised `vector` in
-    /// closed form — bit-identical to `cycles` calls of
-    /// [`observe`](CounterSession::observe).
-    #[inline]
-    pub fn observe_run(&mut self, vector: &EventVector, cycles: u64) {
+    /// Counts `cycles` more cycles of the last observed vector. The
+    /// caller keeps them within [`span_limit`](CounterSession::span_limit)
+    /// as it stood before that observation.
+    fn repeat_last(&mut self, cycles: u64) {
+        self.run_cycles += cycles;
+    }
+
+    /// Counts the pending run in closed form and empties it.
+    fn settle(&mut self) {
+        let (vector, cycles) = (&self.run_vector, self.run_cycles);
+        if cycles == 0 {
+            return;
+        }
         if let Some(m) = &mut self.mux {
             m.advance(&mut self.csr, cycles);
         }
@@ -419,6 +442,7 @@ impl CounterSession {
         for l in &mut self.lanes {
             l.observe_many(vector, cycles);
         }
+        self.run_cycles = 0;
     }
 
     /// Reads every counter back and applies TMA and the TLB drill-down.
@@ -426,7 +450,8 @@ impl CounterSession {
     /// # Errors
     ///
     /// Returns a [`PmuError`] if a counter cannot be read.
-    pub fn finish(self) -> Result<PerfReport, PmuError> {
+    pub fn finish(mut self) -> Result<PerfReport, PmuError> {
+        self.settle();
         // Read the counters back into an event-count view (the software
         // perspective: distributed counters include their 2^N
         // post-processing loss here, exactly as on hardware; multiplexed
@@ -480,7 +505,7 @@ struct Multiplexer {
     counters: usize,
     group_size: usize,
     quantum: u64,
-    /// The core cycle of the next observed cycle.
+    /// The core cycle of the next settled cycle.
     cycle: u64,
     active_group: usize,
     active_cycles: Vec<u64>,
@@ -748,6 +773,7 @@ mod tests {
     }
 
     fn assert_reports_identical(off: &PerfReport, on: &PerfReport) {
+        assert_eq!(off.core_name, on.core_name);
         assert_eq!(off.cycles, on.cycles, "cycle counts diverged");
         assert_eq!(off.instret, on.instret, "instret diverged");
         assert_eq!(off.hw_counts, on.hw_counts, "hw counters diverged");
@@ -756,9 +782,22 @@ mod tests {
             "perfect counters diverged"
         );
         assert_eq!(off.lanes, on.lanes, "lane totals diverged");
+        // `Debug` prints every f64 in its shortest round-trip form, so
+        // equal strings mean bit-equal fractions.
+        assert_eq!(
+            format!("{:?}", off.tma),
+            format!("{:?}", on.tma),
+            "TMA diverged"
+        );
+        assert_eq!(
+            format!("{:?}", off.tlb),
+            format!("{:?}", on.tlb),
+            "TLB diverged"
+        );
         match (&off.trace, &on.trace) {
             (None, None) => {}
             (Some(a), Some(b)) => {
+                assert_eq!(a.len(), b.len());
                 assert_eq!(a.dropped(), b.dropped());
                 assert_eq!(a.end_cycle(), b.end_cycle());
                 for cycle in a.first_cycle()..a.end_cycle() {
@@ -848,6 +887,190 @@ mod tests {
             // The core must stop exactly at the budget, not beyond it.
             assert_eq!(core.cycle(), 100, "skip {skip} overshot the budget");
         }
+    }
+
+    /// A core that only answers the questions `CounterSession::new`
+    /// asks; the tests below hand-feed the session its vectors.
+    struct StubCore {
+        cycle: u64,
+    }
+
+    impl EventCore for StubCore {
+        fn step(&mut self) -> &EventVector {
+            unimplemented!("stub cores are never stepped")
+        }
+        fn is_done(&self) -> bool {
+            true
+        }
+        fn cycle(&self) -> u64 {
+            self.cycle
+        }
+        fn commit_width(&self) -> usize {
+            3
+        }
+        fn issue_width(&self) -> usize {
+            4
+        }
+        fn name(&self) -> &str {
+            "stub"
+        }
+    }
+
+    /// The per-cycle reference for batching: every view advances by
+    /// exactly one cycle, through the one-cycle primitives rather than
+    /// the closed forms a settled run uses.
+    fn observe_unbatched(s: &mut CounterSession, vector: &EventVector) {
+        if let Some(m) = &mut s.mux {
+            m.advance(&mut s.csr, 1);
+        }
+        s.csr.tick(vector);
+        s.perfect.observe(vector);
+        if let Some(t) = &mut s.trace {
+            t.record(vector);
+        }
+        for l in &mut s.lanes {
+            l.observe(vector);
+        }
+    }
+
+    /// A random vector over every event: the multi-lane events raise a
+    /// random lane mask within the stub's widths, the rest a count of
+    /// 1–2. A retire-free vector raises neither retire event.
+    fn random_vector(rng: &mut icicle_workloads::XorShift, retires: bool) -> EventVector {
+        let mut v = EventVector::new();
+        for e in EventId::ALL {
+            if rng.below(3) != 0 {
+                continue;
+            }
+            if !retires && matches!(e, EventId::InstrRetired | EventId::UopsRetired) {
+                continue;
+            }
+            let lanes = match e {
+                EventId::UopsIssued => 4,
+                EventId::FetchBubbles | EventId::UopsRetired | EventId::DCacheBlocked => 3,
+                _ => {
+                    v.raise_n(e, 1 + rng.below(2) as u16);
+                    continue;
+                }
+            };
+            for lane in 0..lanes {
+                if rng.below(2) == 0 {
+                    v.raise_lane(e, lane);
+                }
+            }
+        }
+        v
+    }
+
+    fn batching_options(arch: CounterArch, multiplex: Option<MultiplexOptions>) -> PerfOptions {
+        PerfOptions {
+            arch,
+            trace: Some(
+                TraceConfig::new(vec![
+                    TraceChannel::scalar(EventId::DCacheBlocked),
+                    TraceChannel::lane(EventId::FetchBubbles, 1),
+                    TraceChannel::scalar(EventId::InstrRetired),
+                    TraceChannel::lane(EventId::UopsIssued, 3),
+                ])
+                .unwrap(),
+            ),
+            trace_capacity: Some(128),
+            lane_events: vec![EventId::FetchBubbles, EventId::UopsIssued],
+            multiplex,
+            ..PerfOptions::default()
+        }
+    }
+
+    #[test]
+    fn batched_sessions_match_per_cycle_counting() {
+        let muxes = [
+            None,
+            Some(MultiplexOptions {
+                hw_counters: 6,
+                quantum: 1,
+            }),
+            Some(MultiplexOptions {
+                hw_counters: 6,
+                quantum: 7,
+            }),
+            Some(MultiplexOptions {
+                hw_counters: 6,
+                quantum: 512,
+            }),
+        ];
+        let mut seed = 0;
+        for arch in CounterArch::ALL {
+            for multiplex in muxes {
+                for start in [0, 1_000_003] {
+                    seed += 1;
+                    let mut rng = icicle_workloads::XorShift::new(seed);
+                    let core = StubCore { cycle: start };
+                    let options = batching_options(arch, multiplex);
+                    let mut batched = CounterSession::new(&core, &options).unwrap();
+                    let mut reference = CounterSession::new(&core, &options).unwrap();
+                    // A few uneven warm-up cycles move the distributed
+                    // arbiter off its reset position.
+                    let warm = random_vector(&mut rng, true);
+                    for _ in 0..1 + rng.below(5) {
+                        batched.observe(&warm);
+                        observe_unbatched(&mut reference, &warm);
+                    }
+                    let mut alphabet = vec![EventVector::new(), random_vector(&mut rng, false)];
+                    alphabet.extend((0..4).map(|_| random_vector(&mut rng, true)));
+                    for _ in 0..40 {
+                        let v = &alphabet[rng.below(alphabet.len() as u64) as usize];
+                        let mut run = match rng.below(3) {
+                            0 => 1 + rng.below(3),
+                            _ => 1 + rng.below(600),
+                        };
+                        for _ in 0..run {
+                            observe_unbatched(&mut reference, v);
+                        }
+                        // Half the runs take the skip path's shape: one
+                        // observation, then a span capped at the
+                        // rotation limit that stood before it.
+                        if run >= 2 && rng.below(2) == 0 {
+                            let span = run.min(batched.span_limit());
+                            batched.observe(v);
+                            batched.repeat_last(span - 1);
+                            run -= span;
+                        }
+                        for _ in 0..run {
+                            batched.observe(v);
+                        }
+                    }
+                    let context = format!("{arch:?}, {multiplex:?}, start {start}");
+                    let (b, r) = (batched.finish().unwrap(), reference.finish().unwrap());
+                    assert!(b.cycles > 0, "{context}");
+                    assert_eq!(b.trace.as_ref().unwrap().len(), 128, "{context}");
+                    assert_reports_identical(&r, &b);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn finish_settles_the_pending_run() {
+        let core = StubCore { cycle: 5 };
+        let options = batching_options(CounterArch::Distributed, None);
+        let mut rng = icicle_workloads::XorShift::new(7);
+        let (a, b) = (
+            random_vector(&mut rng, true),
+            random_vector(&mut rng, false),
+        );
+        let mut batched = CounterSession::new(&core, &options).unwrap();
+        let mut reference = CounterSession::new(&core, &options).unwrap();
+        for (v, cycles) in [(&a, 3), (&b, 200)] {
+            for _ in 0..cycles {
+                batched.observe(v);
+                observe_unbatched(&mut reference, v);
+            }
+        }
+        // The 200-cycle run of `b` is still pending here.
+        assert_eq!(batched.run_cycles, 200);
+        let (b, r) = (batched.finish().unwrap(), reference.finish().unwrap());
+        assert_eq!(b.cycles, 203);
+        assert_reports_identical(&r, &b);
     }
 
     #[test]

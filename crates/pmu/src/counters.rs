@@ -294,8 +294,12 @@ impl DistributedCounter {
     /// and any initially-pending flag are decided by comparing their next
     /// grant tick against the span length.
     pub fn tick_many(&mut self, asserted: u16, repeats: u64) {
-        if repeats == 0 {
-            return;
+        match repeats {
+            0 => return,
+            // One tick is cheaper to step than to solve: the closed form
+            // below costs several divisions per local.
+            1 => return self.tick(asserted),
+            _ => {}
         }
         let s = self.locals.len() as u64;
         let wrap = 1u64 << self.width;

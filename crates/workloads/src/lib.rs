@@ -42,44 +42,81 @@ pub mod synth;
 pub use rng::XorShift;
 pub use workload::Workload;
 
+/// A workload's name and the constructor that builds it at its default
+/// size.
+type Entry = (&'static str, fn() -> Workload);
+
+/// The microbenchmark suite (Fig. 7 a, b, k, l).
+const MICRO: &[Entry] = &[
+    ("mergesort", || micro::mergesort(1 << 10)),
+    ("qsort", || micro::qsort(1 << 10)),
+    ("rsort", || micro::rsort(1 << 10)),
+    ("memcpy", || micro::memcpy(1 << 17)),
+    ("mm", || micro::mm(20)),
+    ("vvadd", || micro::vvadd(1 << 12)),
+    ("brmiss", || micro::brmiss(1200)),
+    ("brmiss_inv", || micro::brmiss_inv(1200)),
+    ("spmv", || riscv_tests::spmv(128, 8)),
+    ("towers", || riscv_tests::towers(10)),
+    ("median", || riscv_tests::median(1 << 11)),
+    ("multiply", || riscv_tests::multiply(400)),
+    ("atomic_histogram", || {
+        riscv_tests::atomic_histogram(256, 2_000)
+    }),
+    ("dhrystone", || synth::dhrystone(400)),
+    ("coremark", || synth::coremark(60, false)),
+];
+
+/// The SPEC CPU2017 intrate proxies (Fig. 7 g–j, Table V).
+const SPEC_INTRATE: &[Entry] = &[
+    ("500.perlbench_r", spec::perlbench),
+    ("502.gcc_r", spec::gcc),
+    ("505.mcf_r", spec::mcf),
+    ("520.omnetpp_r", spec::omnetpp),
+    ("523.xalancbmk_r", spec::xalancbmk),
+    ("525.x264_r", spec::x264),
+    ("531.deepsjeng_r", spec::deepsjeng),
+    ("541.leela_r", spec::leela),
+    ("548.exchange2_r", spec::exchange2),
+    ("557.xz_r", spec::xz),
+];
+
+/// Catalog entries outside both suites: the scheduled CoreMark variant
+/// and the stall-heavy pair, kept out of `micro_suite` (they measure
+/// simulator throughput under long quiescent spans, not a Fig. 7
+/// bottleneck signature) but addressable by name for the bench grid.
+const EXTRA: &[Entry] = &[
+    ("coremark-sched", || synth::coremark(60, true)),
+    ("ptrchase", || micro::ptrchase(1 << 14, 20_000)),
+    ("muldiv", || micro::muldiv(2_000)),
+];
+
+/// Every catalog entry, in catalog order.
+fn entries() -> impl Iterator<Item = &'static Entry> {
+    MICRO.iter().chain(SPEC_INTRATE).chain(EXTRA)
+}
+
+fn build<'a>(entries: impl Iterator<Item = &'a Entry>) -> Vec<Workload> {
+    entries.map(|(_, make)| make()).collect()
+}
+
 /// The microbenchmark suite at the default sizes (Fig. 7 a, b, k, l).
 pub fn micro_suite() -> Vec<Workload> {
-    vec![
-        micro::mergesort(1 << 10),
-        micro::qsort(1 << 10),
-        micro::rsort(1 << 10),
-        micro::memcpy(1 << 17),
-        micro::mm(20),
-        micro::vvadd(1 << 12),
-        micro::brmiss(1200),
-        micro::brmiss_inv(1200),
-        riscv_tests::spmv(128, 8),
-        riscv_tests::towers(10),
-        riscv_tests::median(1 << 11),
-        riscv_tests::multiply(400),
-        riscv_tests::atomic_histogram(256, 2_000),
-        synth::dhrystone(400),
-        synth::coremark(60, false),
-    ]
+    build(MICRO.iter())
 }
 
 /// Every named workload at its default size: the micro suite, the SPEC
 /// proxies, and the scheduled CoreMark variant.
 pub fn catalog() -> Vec<Workload> {
-    let mut all = micro_suite();
-    all.extend(spec_intrate_suite());
-    all.push(synth::coremark(60, true));
-    // The stall-heavy pair: kept out of `micro_suite` (they measure
-    // simulator throughput under long quiescent spans, not a Fig. 7
-    // bottleneck signature) but addressable by name for the bench grid.
-    all.push(micro::ptrchase(1 << 14, 20_000));
-    all.push(micro::muldiv(2_000));
-    all
+    build(entries())
 }
 
-/// Looks a workload up by the name printed in figures and tables.
+/// Looks a workload up by the name printed in figures and tables,
+/// building only that workload.
 pub fn by_name(name: &str) -> Option<Workload> {
-    catalog().into_iter().find(|w| w.name() == name)
+    entries()
+        .find(|(entry, _)| *entry == name)
+        .map(|(_, make)| make())
 }
 
 /// Looks a workload up by name with a data-seed override.
@@ -107,18 +144,7 @@ pub fn by_name_seeded(name: &str, seed: u64) -> Option<Workload> {
 /// The SPEC CPU2017 intrate proxy suite at the default sizes
 /// (Fig. 7 g–j, Table V).
 pub fn spec_intrate_suite() -> Vec<Workload> {
-    vec![
-        spec::perlbench(),
-        spec::gcc(),
-        spec::mcf(),
-        spec::omnetpp(),
-        spec::xalancbmk(),
-        spec::x264(),
-        spec::deepsjeng(),
-        spec::leela(),
-        spec::exchange2(),
-        spec::xz(),
-    ]
+    build(SPEC_INTRATE.iter())
 }
 
 #[cfg(test)]
@@ -168,6 +194,24 @@ mod tests {
         }
         // Structurally-seeded workloads fall back to canonical.
         assert!(by_name_seeded("towers", 5).is_some());
+    }
+
+    #[test]
+    fn by_name_matches_every_catalog_entry() {
+        for w in catalog() {
+            let found = by_name(w.name()).unwrap_or_else(|| panic!("{} not found", w.name()));
+            assert_eq!(found.name(), w.name());
+            // The label map is a `HashMap`, so compare the text and data
+            // image rather than the whole program's `Debug` form.
+            let image = |w: &Workload| format!("{:?}", (w.program().code(), w.program().data()));
+            assert_eq!(image(&found), image(&w), "{}: program differs", w.name());
+            let (a, b) = (w.execute().unwrap(), found.execute().unwrap());
+            assert_eq!(a.len(), b.len(), "{}: stream length differs", w.name());
+            for reg in [icicle_isa::Reg::A0, icicle_isa::Reg::A1] {
+                assert_eq!(a.trailing_reg(reg), b.trailing_reg(reg), "{}", w.name());
+            }
+        }
+        assert!(by_name("no-such-workload").is_none());
     }
 
     #[test]
